@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 
@@ -15,12 +17,31 @@ namespace {
 
 // "BNDMNFST" little-endian.
 constexpr std::uint64_t kMagic = 0x5453464e4d444e42ull;
+// magic u64 + version u32 + payload length u64 + checksum u64.
+constexpr std::size_t kHeaderBytes = 28;
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
+// The format is little-endian and u32 arrays are copied to and from it in
+// bulk, so the host's own byte order must be little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "the manifest format is read and written as host-order LE");
+
+// FNV-1a's xor-multiply step applied to 64-bit little-endian words, with
+// the tail bytes folded in one at a time. Each step is a bijection of the
+// running state (xor with the input, then a multiply by an odd constant),
+// so two payloads that differ within a single word always checksum apart.
+std::uint64_t word_checksum(const std::uint8_t* data, std::size_t n) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, data + i, 8);
+    h ^= w;
+    h *= kPrime;
+  }
+  for (; i < n; ++i) {
     h ^= data[i];
-    h *= 0x100000001b3ull;
+    h *= kPrime;
   }
   return h;
 }
@@ -32,60 +53,60 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
 
 // ---- serialization -------------------------------------------------------
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
+// Output cursor. With a null `out` it only counts, so one serialize pass
+// sizes the buffer exactly and a second fills it: the layout is defined
+// once, in serialize_payload.
+struct Writer {
+  std::uint8_t* out = nullptr;
+  std::size_t n = 0;
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
+  void put_raw(const void* src, std::size_t len) {
+    if (out != nullptr && len != 0) std::memcpy(out + n, src, len);
+    n += len;
+  }
+  void put_u32(std::uint32_t v) { put_raw(&v, 4); }
+  void put_u64(std::uint64_t v) { put_raw(&v, 8); }
+  void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
+  void put_bytes(const std::string& s) {
+    put_u64(s.size());
+    put_raw(s.data(), s.size());
+  }
+  template <typename T>
+  void put_u32_vec(const std::vector<T>& v) {
+    static_assert(sizeof(T) == 4);
+    put_u64(v.size());
+    put_raw(v.data(), 4 * v.size());
+  }
+};
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_bytes(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-template <typename T>
-void put_u32_vec(std::vector<std::uint8_t>& out, const std::vector<T>& v) {
-  static_assert(sizeof(T) == 4);
-  put_u64(out, v.size());
-  for (T x : v) put_u32(out, static_cast<std::uint32_t>(x));
-}
-
-std::vector<std::uint8_t> serialize_payload(const Manifest& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.commit_seq);
-  put_u64(out, m.trickle_epoch);
-  put_u64(out, m.block_bytes);
-  put_u64(out, m.vector_bytes);
-  put_u64(out, m.vectors_per_block);
-  put_u64(out, m.storage_blocks);
-  put_u64(out, m.next_block);
-  put_bytes(out, m.block_file);
-  put_u64(out, m.tables.size());
+void serialize_payload(const Manifest& m, Writer& w) {
+  w.put_u64(m.commit_seq);
+  w.put_u64(m.trickle_epoch);
+  w.put_u64(m.block_bytes);
+  w.put_u64(m.vector_bytes);
+  w.put_u64(m.vectors_per_block);
+  w.put_u64(m.storage_blocks);
+  w.put_u64(m.next_block);
+  w.put_bytes(m.block_file);
+  w.put_u64(m.tables.size());
   for (const ManifestTable& t : m.tables) {
-    put_u32(out, t.first_block);
-    put_u64(out, t.policy.cache_vectors);
-    put_u32(out, static_cast<std::uint32_t>(t.policy.policy));
-    put_u32(out, t.policy.access_threshold);
-    put_f64(out, t.policy.insertion_position);
-    put_f64(out, t.policy.shadow_multiplier);
-    put_u32_vec(out, t.order);
-    put_u32_vec(out, t.block_map);
-    put_u32_vec(out, t.access_counts);
-    put_u32_vec(out, t.free_blocks);
-    put_u32(out, t.retired ? 1u : 0u);
+    w.put_u32(t.first_block);
+    w.put_u64(t.policy.cache_vectors);
+    w.put_u32(static_cast<std::uint32_t>(t.policy.policy));
+    w.put_u32(t.policy.access_threshold);
+    w.put_f64(t.policy.insertion_position);
+    w.put_f64(t.policy.shadow_multiplier);
+    w.put_u32_vec(t.order);
+    w.put_u32_vec(t.block_map);
+    w.put_u32_vec(t.access_counts);
+    w.put_u32_vec(t.free_blocks);
+    w.put_u32(t.retired ? 1u : 0u);
   }
-  put_u32_vec(out, m.free_pool);
-  put_u64(out, m.pending_installs.size());
+  w.put_u32_vec(m.free_pool);
+  w.put_u64(m.pending_installs.size());
   for (const std::vector<BlockId>& blocks : m.pending_installs) {
-    put_u32_vec(out, blocks);
+    w.put_u32_vec(blocks);
   }
-  return out;
 }
 
 // ---- bounds-checked deserialization --------------------------------------
@@ -99,16 +120,14 @@ struct Reader {
   bool ok = true;
 
   std::uint32_t get_u32() {
-    if (!take(4)) return 0;
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(data[pos - 4 + i]) << (8 * i);
+    if (take(4)) std::memcpy(&v, data + pos - 4, 4);
     return v;
   }
 
   std::uint64_t get_u64() {
-    if (!take(8)) return 0;
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(data[pos - 8 + i]) << (8 * i);
+    if (take(8)) std::memcpy(&v, data + pos - 8, 8);
     return v;
   }
 
@@ -130,9 +149,9 @@ struct Reader {
       ok = false;
       return {};
     }
-    std::vector<T> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(static_cast<T>(get_u32()));
+    std::vector<T> v(static_cast<std::size_t>(n));
+    if (n != 0) std::memcpy(v.data(), data + pos, 4 * v.size());
+    pos += 4 * v.size();
     return v;
   }
 
@@ -219,8 +238,9 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n,
 
 void fsync_path_dir(const std::string& path) {
   std::size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0                ? "/"
+                                                      : path.substr(0, slash);
   Fd d;
   d.fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (d.fd < 0) throw_errno("manifest directory open failed for " + dir);
@@ -230,23 +250,30 @@ void fsync_path_dir(const std::string& path) {
 
 }  // namespace
 
-void write_manifest(const std::string& path, const Manifest& m,
-                    const ManifestCommitHooks* hooks) {
-  std::vector<std::uint8_t> payload = serialize_payload(m);
-  std::vector<std::uint8_t> blob;
-  blob.reserve(28 + payload.size());
-  put_u64(blob, kMagic);
-  put_u32(blob, kManifestVersion);
-  put_u64(blob, payload.size());
-  put_u64(blob, fnv1a64(payload.data(), payload.size()));
-  blob.insert(blob.end(), payload.begin(), payload.end());
+std::size_t write_manifest(const std::string& path, const Manifest& m,
+                           const ManifestCommitHooks* hooks) {
+  // One exactly-sized buffer: the payload is serialized in place after the
+  // header, then checksummed, and the header is filled in last.
+  Writer counter;
+  serialize_payload(m, counter);
+  const std::size_t payload_size = counter.n;
+  const std::size_t size = kHeaderBytes + payload_size;
+  const auto blob = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  Writer payload{blob.get() + kHeaderBytes};
+  serialize_payload(m, payload);
+  assert(payload.n == payload_size);
+  Writer header{blob.get()};
+  header.put_u64(kMagic);
+  header.put_u32(kManifestVersion);
+  header.put_u64(payload_size);
+  header.put_u64(word_checksum(blob.get() + kHeaderBytes, payload_size));
 
   const std::string tmp = path + ".tmp";
   {
     Fd f;
     f.fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (f.fd < 0) throw_errno("manifest tmp open failed for " + tmp);
-    write_all(f.fd, blob.data(), blob.size(), tmp);
+    write_all(f.fd, blob.get(), size, tmp);
     if (::fsync(f.fd) != 0) throw_errno("manifest tmp fsync failed for " + tmp);
   }
   if (hooks && hooks->before_flip) hooks->before_flip();
@@ -256,6 +283,7 @@ void write_manifest(const std::string& path, const Manifest& m,
     throw_errno("manifest rename failed for " + path);
   if (hooks && hooks->after_flip) hooks->after_flip();
   fsync_path_dir(path);
+  return size;
 }
 
 std::optional<Manifest> load_manifest(const std::string& path,
@@ -268,7 +296,8 @@ std::optional<Manifest> load_manifest(const std::string& path,
     return std::nullopt;
   }
   struct stat st{};
-  if (::fstat(f.fd, &st) != 0 || st.st_size < 28) {
+  if (::fstat(f.fd, &st) != 0 ||
+      st.st_size < static_cast<off_t>(kHeaderBytes)) {
     if (error) *error = "manifest too small at " + path;
     return std::nullopt;
   }
@@ -309,7 +338,8 @@ std::optional<Manifest> load_manifest(const std::string& path,
     return std::nullopt;
   }
   const std::uint8_t* payload = blob.data() + h.pos;
-  if (fnv1a64(payload, static_cast<std::size_t>(payload_bytes)) != checksum) {
+  if (word_checksum(payload, static_cast<std::size_t>(payload_bytes)) !=
+      checksum) {
     if (error) *error = "manifest checksum mismatch at " + path;
     return std::nullopt;
   }

@@ -22,9 +22,15 @@
 // alternation). Recovery therefore always lands on an entirely-old or
 // entirely-new plan.
 //
-// Validation (load_manifest): magic, format version, payload length and an
-// FNV-1a checksum over the payload must all match; any short read,
-// truncation or flipped byte makes the manifest invalid. Callers decide
+// The commit serializes straight into one exactly-sized buffer (header,
+// then payload; every u32 array is one bulk little-endian copy) and writes
+// it with no further copy, so its cost beyond the I/O is a few memcpys and
+// one checksum pass.
+//
+// Validation (load_manifest): magic, format version, payload length and a
+// word-wise FNV-1a checksum over the payload (the xor-multiply step on
+// 64-bit little-endian words, tail bytes folded in singly) must all match;
+// any short read, truncation or flipped byte makes the manifest invalid. Callers decide
 // what invalid means — Store::open refuses to guess and throws, while the
 // manifest-routed storage factories treat "no valid manifest" as
 // permission to start fresh (truncate).
@@ -34,6 +40,7 @@
 // cleanly reject newer manifests instead of misparsing them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -48,7 +55,9 @@ namespace bandana {
 /// Current on-disk format version. Loaders reject anything else.
 /// v2 added live-migration state: per-table retired tombstones, the
 /// store-wide reclaimed free pool, and pending-install block reservations.
-inline constexpr std::uint32_t kManifestVersion = 2;
+/// v3 keeps v2's layout and checksums the payload a 64-bit word at a time
+/// instead of a byte at a time; a v2 manifest is rejected like a v1 one.
+inline constexpr std::uint32_t kManifestVersion = 3;
 
 /// One table's recoverable state.
 struct ManifestTable {
@@ -99,10 +108,11 @@ struct ManifestCommitHooks {
 };
 
 /// Serialize `m` and commit it crash-atomically at `path` (tmp file +
-/// fsync + rename + parent-directory fsync). Throws std::runtime_error on
-/// any I/O failure — the previous manifest (if any) is still intact then.
-void write_manifest(const std::string& path, const Manifest& m,
-                    const ManifestCommitHooks* hooks = nullptr);
+/// fsync + rename + parent-directory fsync). Returns the bytes committed.
+/// Throws std::runtime_error on any I/O failure — the previous manifest
+/// (if any) is still intact then.
+std::size_t write_manifest(const std::string& path, const Manifest& m,
+                           const ManifestCommitHooks* hooks = nullptr);
 
 /// Load and fully validate the manifest at `path`. Returns std::nullopt
 /// (with a human-readable reason in *error when non-null) on a missing

@@ -91,6 +91,12 @@ struct StoreMetrics {
   std::uint64_t manifest_commits = 0;    ///< Durable manifest commits (sync +
                                          ///< pointer flip) the store made; 0
                                          ///< when no manifest is attached.
+  std::uint64_t manifest_commit_us = 0;  ///< Cumulative wall us of those
+                                         ///< commits, sync() barrier
+                                         ///< included.
+  std::uint64_t manifest_bytes = 0;      ///< Size of the last committed
+                                         ///< manifest (a rollup sums the
+                                         ///< nodes' manifests).
   std::uint64_t retrain_runs = 0;        ///< Online retrains that trained.
   std::uint64_t retrain_drain_us = 0;    ///< Cumulative sample-drain wall us.
   std::uint64_t retrain_train_us = 0;    ///< Cumulative training wall us.
@@ -132,6 +138,8 @@ struct StoreMetrics {
     republish_skipped_blocks += o.republish_skipped_blocks;
     mapping_swaps += o.mapping_swaps;
     manifest_commits += o.manifest_commits;
+    manifest_commit_us += o.manifest_commit_us;
+    manifest_bytes += o.manifest_bytes;
     retrain_runs += o.retrain_runs;
     retrain_drain_us += o.retrain_drain_us;
     retrain_train_us += o.retrain_train_us;
@@ -168,6 +176,8 @@ struct AtomicStoreMetrics {
   std::atomic<std::uint64_t> republish_skipped_blocks{0};
   std::atomic<std::uint64_t> mapping_swaps{0};
   std::atomic<std::uint64_t> manifest_commits{0};
+  std::atomic<std::uint64_t> manifest_commit_us{0};
+  std::atomic<std::uint64_t> manifest_bytes{0};
   std::atomic<std::uint64_t> retrain_runs{0};
   std::atomic<std::uint64_t> retrain_drain_us{0};
   std::atomic<std::uint64_t> retrain_train_us{0};
@@ -206,6 +216,8 @@ struct AtomicStoreMetrics {
         republish_skipped_blocks.load(std::memory_order_relaxed);
     m.mapping_swaps = mapping_swaps.load(std::memory_order_relaxed);
     m.manifest_commits = manifest_commits.load(std::memory_order_relaxed);
+    m.manifest_commit_us = manifest_commit_us.load(std::memory_order_relaxed);
+    m.manifest_bytes = manifest_bytes.load(std::memory_order_relaxed);
     m.retrain_runs = retrain_runs.load(std::memory_order_relaxed);
     m.retrain_drain_us = retrain_drain_us.load(std::memory_order_relaxed);
     m.retrain_train_us = retrain_train_us.load(std::memory_order_relaxed);

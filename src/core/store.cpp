@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -214,13 +215,7 @@ Manifest Store::compose_manifest() const {
   m.block_file = block_file_;
   m.tables.reserve(tables_.size());
   for (std::size_t t = 0; t < tables_.size(); ++t) {
-    auto snap = tables_[t]->mapping_snapshot();
-    ManifestTable mt;
-    mt.first_block = tables_[t]->first_block();
-    mt.order = snap.layout.order();
-    mt.block_map = std::move(snap.block_map);
-    mt.access_counts = std::move(snap.access_counts);
-    mt.policy = snap.policy;
+    ManifestTable mt = tables_[t]->manifest_entry();
     mt.free_blocks = free_blocks_[t];
     mt.retired = retired_[t] != 0;
     m.tables.push_back(std::move(mt));
@@ -240,13 +235,20 @@ void Store::commit_manifest() {
 
 void Store::commit_manifest_mlocked() {
   if (manifest_path_.empty()) return;
+  const auto start = std::chrono::steady_clock::now();
   // Durability barrier BEFORE the pointer flip: every block the new
   // manifest references must survive a crash before the manifest does.
   if (storage_) storage_->sync();
   const Manifest m = compose_manifest();
-  write_manifest(manifest_path_, m, &manifest_hooks_);
+  const std::size_t bytes = write_manifest(manifest_path_, m, &manifest_hooks_);
   manifest_seq_ = m.commit_seq;
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
   staging_metrics_->manifest_commits.fetch_add(1, std::memory_order_relaxed);
+  staging_metrics_->manifest_commit_us.fetch_add(
+      static_cast<std::uint64_t>(us), std::memory_order_relaxed);
+  staging_metrics_->manifest_bytes.store(bytes, std::memory_order_relaxed);
 }
 
 void Store::ensure_capacity(std::uint64_t total_blocks) {

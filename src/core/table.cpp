@@ -361,12 +361,20 @@ std::size_t BandanaTable::reclaim_retired_locked() {
   // Everything retired so far predates the bank observations below (both
   // happen under reclaim_mu_), so a drained bank covers retire_seq_.
   const std::uint64_t seq = retire_seq_;
-  // Flip first: new readers move to the other bank, so the bank the
-  // previous pass left busy gets its chance to drain by the next pass
-  // even under a continuous read stream.
-  reader_gen_.fetch_add(1, std::memory_order_seq_cst);
-  for (std::uint32_t bank = 0; bank < 2; ++bank) {
-    if (bank_drained(bank)) bank_drained_seq_[bank] = seq;
+  // Observe the INACTIVE bank: new readers no longer enter it, so it has
+  // had the whole interval since the flip that vacated it to drain. Only
+  // once it has drained do we flip, moving new readers onto it and
+  // vacating the busy bank for the next pass; an undrained inactive bank
+  // keeps its head start instead of being refilled. After a flip the
+  // just-vacated bank is looked at once too: with no reader in flight it
+  // is already empty, so a quiescent swap frees its retiree at once.
+  std::uint32_t inactive = static_cast<std::uint32_t>(
+      (reader_gen_.load(std::memory_order_seq_cst) + 1) & 1);
+  if (bank_drained(inactive)) {
+    bank_drained_seq_[inactive] = seq;
+    reader_gen_.fetch_add(1, std::memory_order_seq_cst);
+    inactive ^= 1;
+    if (bank_drained(inactive)) bank_drained_seq_[inactive] = seq;
   }
   const std::uint64_t safe =
       std::min(bank_drained_seq_[0], bank_drained_seq_[1]);
@@ -402,6 +410,18 @@ BandanaTable::RetrainedState BandanaTable::mapping_snapshot() const {
   ReadGuard guard(*this);
   const State* st = state_.load(std::memory_order_seq_cst);
   return {st->layout, st->block_map, st->access_counts, st->policy};
+}
+
+ManifestTable BandanaTable::manifest_entry() const {
+  ReadGuard guard(*this);
+  const State* st = state_.load(std::memory_order_seq_cst);
+  ManifestTable mt;
+  mt.first_block = first_block_;
+  mt.order = st->layout.order();
+  mt.block_map = st->block_map;
+  mt.access_counts = st->access_counts;
+  mt.policy = st->policy;
+  return mt;
 }
 
 void BandanaTable::cache_vector(State& st, std::uint32_t shard_idx, VectorId v,

@@ -30,18 +30,20 @@
 // being kept for the table's lifetime: every state-dereferencing reader
 // enters a striped reader bank (selected by the current generation parity)
 // before loading the state pointer and exits it when done. A reclaim pass
-// (run by every swap_state, and on demand via reclaim_retired) flips the
-// generation so new readers land on the other bank, then observes each
-// bank's per-slot entered/exited counters: a bank whose slots all read
-// exited == entered (exited loaded first — both counters are monotone, so
-// equality proves the slot was empty at the first load and stayed
-// untouched until the second) holds no reader that predates the pass. A
-// retired state is freed once BOTH banks have been observed drained after
-// its retirement, so a straggler that loaded the old pointer just before
-// the swap always keeps it alive until it exits. Under a continuous read
-// stream each pass drains the bank the previous pass flipped away from,
-// so the retired list stays bounded by a couple of retrain cycles rather
-// than growing with every push.
+// (run by every swap_state, and on demand via reclaim_retired) observes
+// the per-slot entered/exited counters of the INACTIVE bank — the one new
+// readers no longer enter: a bank whose slots all read exited == entered
+// (exited loaded first — both counters are monotone, so equality proves
+// the slot was empty at the first load and stayed untouched until the
+// second) holds no reader that predates the pass. Only when the inactive
+// bank has drained does the pass flip the generation, so new readers land
+// on it and the busy bank is vacated for the next pass to observe. A
+// retired state is freed once BOTH banks have been observed drained while
+// inactive after its retirement, so a straggler that loaded the old
+// pointer just before the swap always keeps it alive until it exits.
+// Under a continuous read stream each pass finds the bank the previous
+// flip vacated drained, so a retiree is freed within about two passes and
+// the retired list stays bounded rather than growing with every push.
 #pragma once
 
 #include <atomic>
@@ -53,6 +55,7 @@
 
 #include "cache/sharded_lru.h"
 #include "core/config.h"
+#include "core/manifest.h"
 #include "core/metrics.h"
 #include "nvm/block_storage.h"
 #include "partition/layout.h"
@@ -206,6 +209,13 @@ class BandanaTable {
   /// lock, which every shared-lock-path swap also takes).
   RetrainedState mapping_snapshot() const;
 
+  /// The same consistent mapping as mapping_snapshot(), as the manifest's
+  /// per-table entry (first block, layout order, block map, access counts,
+  /// policy): one copy of each array, taken from the live state under a
+  /// reader guard. The store-owned fields (free_blocks, retired) are left
+  /// default. Same exclusion contract as mapping_snapshot().
+  ManifestTable manifest_entry() const;
+
   /// Count vectors rewritten by an external republish path (the trickle
   /// session, which writes blocks itself and swaps at completion).
   void note_republished(std::uint64_t vectors) {
@@ -248,11 +258,12 @@ class BandanaTable {
   /// shard locks). With one shard this is the exact LRU eviction order.
   std::vector<VectorId> cache_contents() const;
 
-  /// Run one reclaim pass: flip the reader generation, observe both banks,
-  /// and free every retired state whose retirement is covered by a drain
-  /// observation of each bank. Returns states freed. swap_state runs a
-  /// pass automatically; long-lived serving loops (or tests) call this to
-  /// drain stragglers from earlier swaps.
+  /// Run one reclaim pass: observe the inactive reader bank, flip the
+  /// generation once it has drained, and free every retired state whose
+  /// retirement is covered by a drain observation of each bank. Returns
+  /// states freed. swap_state runs a pass automatically; long-lived
+  /// serving loops (or tests) call this to drain stragglers from earlier
+  /// swaps.
   std::size_t reclaim_retired();
 
   /// Retired states still awaiting reclamation (diagnostic).

@@ -1,9 +1,12 @@
 // Manifest format tests: round-trip fidelity, crash-atomic commit
 // mechanics (tmp file + rename), and rejection of every corruption mode —
-// a manifest that doesn't validate byte-for-byte must never load.
+// a manifest that doesn't validate byte-for-byte must never load. The
+// store-level tests pin what Store composes into each commit and the
+// commit metrics it reports.
 #include "core/manifest.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -11,6 +14,11 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "core/store.h"
+#include "core/store_builder.h"
+#include "partition/layout.h"
+#include "trace/embedding_table.h"
 
 namespace bandana {
 namespace {
@@ -218,6 +226,148 @@ TEST_F(ManifestTest, ThrowingBeforeFlipPreservesPreviousManifest) {
   auto loaded = load_manifest(path_);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->commit_seq, 7u);  // the old version survived intact
+}
+
+TEST_F(ManifestTest, RoundTripsAPayloadThatIsNotWholeWords) {
+  // An odd-length block-file path leaves the payload a few bytes past a
+  // multiple of 8, so the checksum's byte-wise tail carries part of it;
+  // every optional list is empty.
+  Manifest m = sample_manifest();
+  m.block_file = "/tmp/odd.bin";
+  m.tables[0].free_blocks.clear();
+  m.tables[1].retired = true;
+  ASSERT_TRUE(m.free_pool.empty());
+  ASSERT_TRUE(m.pending_installs.empty());
+  write_manifest(path_, m);
+  const std::size_t payload = read_file(path_).size() - 28;
+  EXPECT_NE(payload % 8, 0u);
+
+  std::string err;
+  auto loaded = load_manifest(path_, &err);
+  ASSERT_TRUE(loaded.has_value()) << err;
+  expect_equal(m, *loaded);
+  EXPECT_FALSE(loaded->tables[0].retired);
+  EXPECT_TRUE(loaded->tables[1].retired);
+  EXPECT_TRUE(loaded->free_pool.empty());
+  EXPECT_TRUE(loaded->pending_installs.empty());
+
+  // The last byte lies in the tail past the final whole word: flipping it
+  // must still fail the checksum.
+  std::vector<char> blob = read_file(path_);
+  blob.back() = static_cast<char>(blob.back() ^ 0x01);
+  write_file(path_, blob);
+  EXPECT_FALSE(load_manifest(path_, &err).has_value());
+  EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+}
+
+// ---- store-level: what a commit records, and what it costs ---------------
+
+constexpr std::uint32_t kVectors = 256;
+constexpr std::uint16_t kDim = 32;  // 128 B vectors, 32 per 4 KB block
+constexpr std::uint32_t kVpb = 32;
+
+EmbeddingTable make_values(float tag) {
+  EmbeddingTable e(kVectors, kDim);
+  for (std::uint32_t v = 0; v < kVectors; ++v) {
+    auto row = e.vector(v);
+    for (std::uint16_t d = 0; d < kDim; ++d) {
+      row[d] = tag * 1000.0f + static_cast<float>(v) +
+               static_cast<float>(d) / 64.0f;
+    }
+  }
+  return e;
+}
+
+TablePlan plan(std::uint64_t layout_seed) {
+  TablePolicy pol;
+  pol.cache_vectors = 64;
+  pol.policy = PrefetchPolicy::kNone;
+  return {layout_seed == 0 ? BlockLayout::identity(kVectors, kVpb)
+                           : BlockLayout::random(kVectors, kVpb, layout_seed),
+          {}, pol, 0.0};
+}
+
+StoreConfig store_config() {
+  StoreConfig cfg;
+  cfg.cache_shards = 1;
+  cfg.simulate_timing = false;
+  return cfg;
+}
+
+class StoreManifestTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    std::remove(block_.c_str());
+    std::remove(manifest_.c_str());
+    std::remove((manifest_ + ".tmp").c_str());
+  }
+  std::string block_ = tmp_path("store.bin");
+  std::string manifest_ = tmp_path("store.manifest");
+};
+
+TEST_F(StoreManifestTest, CommittedTablesEqualEachTablesMappingSnapshot) {
+  const EmbeddingTable a = make_values(1.0f);
+  const EmbeddingTable b = make_values(2.0f);
+  Store store = StoreBuilder(store_config())
+                    .file_storage(block_)
+                    .manifest(manifest_)
+                    .add_table(a, plan(0))
+                    .add_table(b, plan(0))
+                    .build();
+  // A finished trickle swaps table 0 onto a new layout, new values and
+  // replacement blocks, and commits.
+  TrickleRepublish push =
+      store.begin_trickle_republish(0, b, plan(0xBEEF), RepublishConfig{});
+  while (!push.done()) push.pump();
+  ASSERT_TRUE(push.mapping_swapped());
+
+  std::string err;
+  const auto m = load_manifest(manifest_, &err);
+  ASSERT_TRUE(m.has_value()) << err;
+  EXPECT_EQ(m->trickle_epoch, 1u);
+  ASSERT_EQ(m->tables.size(), store.num_tables());
+  for (TableId t = 0; t < store.num_tables(); ++t) {
+    const BandanaTable& table = store.table(t);
+    const BandanaTable::RetrainedState snap = table.mapping_snapshot();
+    const ManifestTable& mt = m->tables[t];
+    EXPECT_EQ(mt.first_block, table.first_block()) << "table " << t;
+    EXPECT_EQ(mt.order, snap.layout.order()) << "table " << t;
+    EXPECT_EQ(mt.block_map, snap.block_map) << "table " << t;
+    EXPECT_EQ(mt.access_counts, snap.access_counts) << "table " << t;
+    EXPECT_EQ(mt.policy.cache_vectors, snap.policy.cache_vectors);
+    EXPECT_EQ(mt.policy.policy, snap.policy.policy);
+    EXPECT_EQ(mt.policy.access_threshold, snap.policy.access_threshold);
+    EXPECT_DOUBLE_EQ(mt.policy.insertion_position,
+                     snap.policy.insertion_position);
+    EXPECT_DOUBLE_EQ(mt.policy.shadow_multiplier,
+                     snap.policy.shadow_multiplier);
+    EXPECT_FALSE(mt.retired);
+  }
+  // The swap moved table 0 off its first layout and onto fresh blocks.
+  EXPECT_EQ(m->tables[0].order, plan(0xBEEF).layout.order());
+  EXPECT_NE(m->tables[0].block_map, m->tables[1].block_map);
+}
+
+TEST_F(StoreManifestTest, CommitMetricsAreReportedOnlyWithAManifest) {
+  const EmbeddingTable a = make_values(1.0f);
+  Store file = StoreBuilder(store_config())
+                   .file_storage(block_)
+                   .manifest(manifest_)
+                   .add_table(a, plan(0))
+                   .build();
+  const StoreMetrics fm = file.store_metrics();
+  EXPECT_GT(fm.manifest_commits, 0u);
+  EXPECT_GT(fm.manifest_commit_us, 0u);
+  struct stat st{};
+  ASSERT_EQ(::stat(manifest_.c_str(), &st), 0);
+  EXPECT_EQ(fm.manifest_bytes, static_cast<std::uint64_t>(st.st_size));
+
+  Store memory =
+      StoreBuilder(store_config()).add_table(a, plan(0)).build();
+  const StoreMetrics mm = memory.store_metrics();
+  EXPECT_EQ(mm.manifest_commits, 0u);
+  EXPECT_EQ(mm.manifest_commit_us, 0u);
+  EXPECT_EQ(mm.manifest_bytes, 0u);
 }
 
 }  // namespace
