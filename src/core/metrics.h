@@ -51,11 +51,13 @@ struct TableMetrics {
 };
 
 /// Store-wide counters of the staged (batched real-I/O) read pipeline.
-/// They make the pipeline's coverage gaps visible: a healthy staged path
-/// serves every miss from staged bytes (inline_reads stays 0) and stages
-/// every miss block up front (deferred counters stay near 0 — they grow
-/// only when concurrency evicts a peeked block before its lookup, or the
-/// staging cap truncates).
+/// They make the pipeline's coverage gaps visible: staged lookups never
+/// read inline, so every miss the peek pass did not stage shows up in the
+/// deferred counters. Those grow when the staging cap truncates, when a
+/// concurrent request evicts a peeked block before its lookup, and also
+/// single-threaded: the peek skips ids it sees cached, and the request's
+/// own earlier prefetch admissions can evict one of them before its
+/// lookup runs (a traced retrain_drift run defers ~100 lookups).
 struct StoreMetrics {
   std::uint64_t staged_blocks = 0;       ///< Blocks fetched by the peek pass.
   std::uint64_t stage_truncated_blocks = 0;  ///< Miss-block sightings past the

@@ -533,55 +533,13 @@ void Store::note_retrain(double drain_us, double train_us, double diff_us,
 double Store::lookup_batch(TableId t, std::span<const VectorId> ids,
                            std::span<std::byte> out) {
   std::shared_lock storage_lock(*storage_mu_);
-  BandanaTable& table = checked_table(t);
-  const std::size_t vb = config_.vector_bytes;
-  if (out.size() < ids.size() * vb) {
+  checked_table(t);
+  if (out.size() < ids.size() * config_.vector_bytes) {
     throw std::invalid_argument("lookup_batch: output span too small");
   }
-  const std::uint32_t num_vectors = table.num_vectors();
-  for (const VectorId v : ids) {
-    if (v >= num_vectors) {
-      throw std::out_of_range("lookup_batch: bad vector id " +
-                              std::to_string(v));
-    }
-  }
-  // Overlapped-read backends: fetch the query's miss blocks up front in
-  // admission-sized waves, so real I/O is batched instead of one pread per
-  // miss inside the lookup loop. staged_only lookups never fall back to an
-  // inline read — an unstaged miss defers to the retry waves below.
-  StagedBlockReads staged;
-  const bool stage = storage_->prefers_batched_reads();
-  if (stage) {
-    stage_miss_blocks(table, ids, staged);
-    staged.fetch(*storage_, real_read_wave_blocks());
-    staging_metrics_->staged_blocks.fetch_add(staged.size(),
-                                              std::memory_order_relaxed);
-  }
-  std::uint64_t reads = 0;
-  std::uint64_t hits = 0;
-  const std::uint64_t epoch = table.begin_batch();
-  std::vector<DeferredLookup> deferred;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto outcome = table.lookup(ids[i], *storage_,
-                                      out.subspan(i * vb, vb), epoch,
-                                      stage ? &staged : nullptr,
-                                      /*staged_only=*/stage);
-    if (outcome.deferred) {
-      deferred.push_back({&table, ids[i], out.subspan(i * vb, vb), epoch, i});
-      continue;
-    }
-    if (outcome.hit) ++hits;
-    if (outcome.nvm_read) ++reads;
-  }
-  serve_deferred(deferred,
-                 [&](std::size_t, const BandanaTable::LookupOutcome& o) {
-                   if (o.hit) ++hits;
-                   if (o.nvm_read) ++reads;
-                 });
-  if (AccessTap* tap = tap_->load(std::memory_order_acquire)) {
-    tap->on_table_get(t, ids, hits, ids.size() - hits);
-  }
-  return schedule_reads(reads, query_latency_, /*advance_clock=*/true);
+  const TableGetView get{t, ids, out};
+  MultiGetResult::TableStats stats;
+  return multi_get_impl({&get, 1}, {&stats, 1}, /*closed_loop=*/true);
 }
 
 double Store::lookup(TableId t, VectorId v, std::span<std::byte> out) {
@@ -590,22 +548,38 @@ double Store::lookup(TableId t, VectorId v, std::span<std::byte> out) {
 }
 
 MultiGetResult Store::multi_get(const MultiGetRequest& request) {
-  std::shared_lock storage_lock(*storage_mu_);
-  return multi_get_impl(request, /*arrival_us=*/-1.0);
+  return multi_get(request, /*arrival_us=*/-1.0);
 }
 
 MultiGetResult Store::multi_get(const MultiGetRequest& request,
                                 double arrival_us) {
   std::shared_lock storage_lock(*storage_mu_);
-  return multi_get_impl(request, arrival_us);
+  const std::size_t n = request.gets.size();
+  MultiGetResult result;
+  result.vectors.resize(n);
+  result.per_table.resize(n);
+  std::vector<TableGetView> gets;
+  gets.reserve(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    const auto& get = request.gets[g];
+    result.vectors[g].resize(get.ids.size() * config_.vector_bytes);
+    gets.push_back({get.table, get.ids, result.vectors[g]});
+  }
+  result.service_latency_us = multi_get_impl(
+      gets, result.per_table, /*closed_loop=*/false, arrival_us);
+  for (const auto& stats : result.per_table) {
+    result.block_reads += stats.block_reads;
+  }
+  return result;
 }
 
-MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
-                                     double arrival_us) {
+double Store::multi_get_impl(std::span<const TableGetView> gets,
+                             std::span<MultiGetResult::TableStats> stats,
+                             bool closed_loop, double arrival_us) {
   const std::size_t vb = config_.vector_bytes;
   // Validate the whole request up front so a bad entry cannot leave it
   // half-served (and half-counted in the metrics).
-  for (const auto& get : request.gets) {
+  for (const auto& get : gets) {
     const BandanaTable& table = checked_table(get.table);
     const std::uint32_t num_vectors = table.num_vectors();
     for (const VectorId v : get.ids) {
@@ -626,7 +600,7 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
   StagedBlockReads staged;
   const bool stage = storage_->prefers_batched_reads();
   if (stage) {
-    for (const auto& get : request.gets) {
+    for (const auto& get : gets) {
       stage_miss_blocks(*tables_[get.table], get.ids, staged);
     }
     staged.fetch(*storage_, real_read_wave_blocks());
@@ -634,21 +608,15 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
                                               std::memory_order_relaxed);
   }
 
-  MultiGetResult result;
-  result.vectors.resize(request.gets.size());
-  result.per_table.resize(request.gets.size());
   // One dedup epoch per distinct table per request: a block read by an
   // earlier id list (even of the same table appearing twice) is not
   // re-counted. Lookups lock only the touched cache shard, so concurrent
   // requests to the same table interleave freely.
   std::vector<std::pair<TableId, std::uint64_t>> request_epochs;
   std::vector<DeferredLookup> deferred;
-  for (std::size_t g = 0; g < request.gets.size(); ++g) {
-    const auto& get = request.gets[g];
+  for (std::size_t g = 0; g < gets.size(); ++g) {
+    const auto& get = gets[g];
     BandanaTable& table = *tables_[get.table];
-    auto& bytes = result.vectors[g];
-    auto& stats = result.per_table[g];
-    bytes.resize(get.ids.size() * vb);
 
     std::uint64_t epoch = 0;
     const auto known =
@@ -661,45 +629,40 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
       request_epochs.emplace_back(get.table, epoch);
     }
     for (std::size_t i = 0; i < get.ids.size(); ++i) {
-      const auto outcome = table.lookup(
-          get.ids[i], *storage_,
-          std::span<std::byte>(bytes).subspan(i * vb, vb), epoch,
-          stage ? &staged : nullptr, /*staged_only=*/stage);
+      const auto out = get.out.subspan(i * vb, vb);
+      const auto outcome =
+          table.lookup(get.ids[i], *storage_, out, epoch,
+                       stage ? &staged : nullptr, /*staged_only=*/stage);
       if (outcome.deferred) {
         // tag = get index: retry accounting lands on the right TableStats.
-        deferred.push_back({&table, get.ids[i],
-                            std::span<std::byte>(bytes).subspan(i * vb, vb),
-                            epoch, g});
+        deferred.push_back({&table, get.ids[i], out, epoch, g});
         continue;
       }
-      if (outcome.hit) ++stats.hits;
-      if (outcome.nvm_read) ++stats.block_reads;
+      if (outcome.hit) ++stats[g].hits;
+      if (outcome.nvm_read) ++stats[g].block_reads;
     }
   }
   serve_deferred(deferred,
                  [&](std::size_t g, const BandanaTable::LookupOutcome& o) {
-                   auto& stats = result.per_table[g];
-                   if (o.hit) ++stats.hits;
-                   if (o.nvm_read) ++stats.block_reads;
+                   if (o.hit) ++stats[g].hits;
+                   if (o.nvm_read) ++stats[g].block_reads;
                  });
-  for (std::size_t g = 0; g < request.gets.size(); ++g) {
-    auto& stats = result.per_table[g];
-    stats.misses = request.gets[g].ids.size() - stats.hits;
-    result.block_reads += stats.block_reads;
+  std::uint64_t block_reads = 0;
+  for (std::size_t g = 0; g < gets.size(); ++g) {
+    stats[g].misses = gets[g].ids.size() - stats[g].hits;
+    block_reads += stats[g].block_reads;
   }
   if (AccessTap* tap = tap_->load(std::memory_order_acquire)) {
     // One tap call per table-get, after the whole request settled (the
     // deferred retries above may still have flipped hits/misses).
-    for (std::size_t g = 0; g < request.gets.size(); ++g) {
-      const auto& stats = result.per_table[g];
-      tap->on_table_get(request.gets[g].table, request.gets[g].ids,
-                        stats.hits, stats.misses);
+    for (std::size_t g = 0; g < gets.size(); ++g) {
+      tap->on_table_get(gets[g].table, gets[g].ids, stats[g].hits,
+                        stats[g].misses);
     }
   }
-  result.service_latency_us =
-      schedule_reads(result.block_reads, request_latency_,
-                     /*advance_clock=*/false, arrival_us);
-  return result;
+  return schedule_reads(block_reads,
+                        closed_loop ? query_latency_ : request_latency_,
+                        closed_loop, arrival_us);
 }
 
 std::future<MultiGetResult> Store::multi_get_async(MultiGetRequest request,
@@ -712,8 +675,7 @@ std::future<MultiGetResult> Store::multi_get_async(MultiGetRequest request,
   const double arrival_us = now_us();
   pool.submit([this, promise, owned, arrival_us] {
     try {
-      std::shared_lock storage_lock(*storage_mu_);
-      promise->set_value(multi_get_impl(*owned, arrival_us));
+      promise->set_value(multi_get(*owned, arrival_us));
     } catch (...) {
       promise->set_exception(std::current_exception());
     }

@@ -24,8 +24,8 @@
 // `multi_get_async` serves concurrent request streams on a ThreadPool.
 // Each table's DRAM cache is sharded (StoreConfig::cache_shards) with one
 // lock per shard, so concurrent requests proceed in parallel even inside
-// a single table. The per-table `lookup_batch` path remains for
-// single-table callers.
+// a single table. `lookup_batch` serves single-table callers through the
+// same path, closed loop.
 //
 // Simulated IO timing runs on the event-driven per-channel NvmIoEngine
 // (nvm/io_engine.h): each request's deduplicated block reads are one
@@ -389,10 +389,12 @@ class Store {
   };
   /// Serve every deferred lookup through bounded retry waves — the single
   /// place the airtight-pipeline invariant lives: at most kMaxStagedBlocks
-  /// distinct blocks per wave, blocks deduplicated across the whole set,
-  /// and a retried lookup cannot defer again (its block is in the retry
-  /// set, consumed under the shard lock). Invokes `account(tag, outcome)`
-  /// for each served lookup, in deferral order.
+  /// distinct blocks per wave, blocks deduplicated across the whole set.
+  /// A retried lookup's block is in the retry set, consumed under the
+  /// shard lock, so it defers again only when a concurrent mapping swap
+  /// retargeted it since the set was collected; it then goes back on the
+  /// queue for the next wave (swaps are finite, so this terminates).
+  /// Invokes `account(tag, outcome)` for each served lookup.
   void serve_deferred(
       std::vector<DeferredLookup>& deferred,
       const std::function<void(std::size_t,
@@ -422,14 +424,26 @@ class Store {
   /// (republish: background retraining traffic) leaves the clock at
   /// submission so the write backlog interferes with subsequent reads.
   double schedule_writes(std::uint64_t writes, bool advance_clock);
-  /// `arrival_us`: simulated arrival timestamp (negative = current clock).
-  /// multi_get_async captures it at submission so that queued requests keep
-  /// their true arrival order even when serving lags.
-  MultiGetResult multi_get_impl(const MultiGetRequest& request,
-                                double arrival_us);
+  /// One table-get as the serving core sees it: the ids and the
+  /// caller-owned bytes (ids.size() x vector_bytes) they are served into.
+  struct TableGetView {
+    TableId table;
+    std::span<const VectorId> ids;
+    std::span<std::byte> out;
+  };
+  /// The one serving path behind multi_get, multi_get_async and
+  /// lookup_batch: validation, staging, lookups, deferral and retry, the
+  /// access tap and timing. Fills stats[i] for gets[i] and returns the
+  /// simulated latency. `closed_loop` (lookup_batch) moves the clock to the
+  /// completion and records into query_latency_; open loop (multi_get)
+  /// keeps the clock at `arrival_us` (negative = current clock) and
+  /// records into request_latency_. Caller holds the shared storage lock.
+  double multi_get_impl(std::span<const TableGetView> gets,
+                        std::span<MultiGetResult::TableStats> stats,
+                        bool closed_loop, double arrival_us = -1.0);
 
   // Trickle-session plumbing (called by TrickleRepublish on its state).
-  /// Diff + arm phase of begin_trickle_republish, entered with the table
+  /// Diff + arm phase of begin_trickle_republish, called with the table
   /// already claimed (republish_in_flight_[t] set): the O(table) byte diff
   /// runs under the shared lock, then a brief unique section allocates
   /// replacement blocks. On throw the caller releases the claim.

@@ -324,96 +324,37 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
     if (slab_needed > slab_.size()) slab_.resize(slab_needed);
     old = std::move(state_owner_);
     state_owner_ = std::move(fresh);
-    // seq_cst pairs with the reader guards' enter + state load: a reader
-    // the reclaim pass does not observe entered is ordered after this
-    // store and therefore loads the NEW state, never the one retired here.
+    // seq_cst pairs with the guards' seq_cst enter + state load
+    // (common/epoch.h): a guard no reclaim pass sees is ordered after this
+    // store and loads the NEW state, never the one retired here.
     state_.store(state_owner_.get(), std::memory_order_seq_cst);
   }
-  // Retire outside the shard locks (readers never take reclaim_mu_) and
-  // immediately run a reclaim pass: with no straggling readers the old
-  // state is freed right here, and under load it goes once both banks
-  // drain on later passes.
-  {
-    std::lock_guard reclaim_lock(reclaim_mu_);
-    retired_.push_back({std::move(old), ++retire_seq_});
-    reclaim_retired_locked();
-  }
+  // Retire outside the shard locks and run a reclaim pass at once: with no
+  // straggling readers the old state is freed right here, and under load
+  // it goes on a later pass.
+  epochs_.retire(std::move(old));
+  epochs_.try_reclaim();
   return freed;
 }
 
-bool BandanaTable::bank_drained(std::uint32_t bank) const {
-  for (std::uint32_t s = 0; s < kReaderSlots; ++s) {
-    const ReaderSlot& slot = reader_banks_[bank][s];
-    // Load exited BEFORE entered: both are monotone and an exit is always
-    // preceded by its enter, so exited(t1) == entered(t2) with t1 < t2
-    // forces entered(t1) == exited(t1) (nobody inside at t1) and
-    // entered(t2) == entered(t1) (nobody entered since) — the slot held no
-    // reader that predates this check.
-    const std::uint64_t exited = slot.exited.load(std::memory_order_seq_cst);
-    const std::uint64_t entered = slot.entered.load(std::memory_order_seq_cst);
-    if (entered != exited) return false;
-  }
-  return true;
-}
+std::size_t BandanaTable::reclaim_retired() { return epochs_.try_reclaim(); }
 
-std::size_t BandanaTable::reclaim_retired_locked() {
-  if (retired_.empty()) return 0;
-  // Everything retired so far predates the bank observations below (both
-  // happen under reclaim_mu_), so a drained bank covers retire_seq_.
-  const std::uint64_t seq = retire_seq_;
-  // Observe the INACTIVE bank: new readers no longer enter it, so it has
-  // had the whole interval since the flip that vacated it to drain. Only
-  // once it has drained do we flip, moving new readers onto it and
-  // vacating the busy bank for the next pass; an undrained inactive bank
-  // keeps its head start instead of being refilled. After a flip the
-  // just-vacated bank is looked at once too: with no reader in flight it
-  // is already empty, so a quiescent swap frees its retiree at once.
-  std::uint32_t inactive = static_cast<std::uint32_t>(
-      (reader_gen_.load(std::memory_order_seq_cst) + 1) & 1);
-  if (bank_drained(inactive)) {
-    bank_drained_seq_[inactive] = seq;
-    reader_gen_.fetch_add(1, std::memory_order_seq_cst);
-    inactive ^= 1;
-    if (bank_drained(inactive)) bank_drained_seq_[inactive] = seq;
-  }
-  const std::uint64_t safe =
-      std::min(bank_drained_seq_[0], bank_drained_seq_[1]);
-  std::size_t freed = 0;
-  for (auto it = retired_.begin(); it != retired_.end();) {
-    if (it->seq <= safe) {
-      it = retired_.erase(it);
-      ++freed;
-    } else {
-      ++it;
-    }
-  }
-  return freed;
-}
-
-std::size_t BandanaTable::reclaim_retired() {
-  std::lock_guard lock(reclaim_mu_);
-  return reclaim_retired_locked();
-}
-
-std::size_t BandanaTable::retired_count() const {
-  std::lock_guard lock(reclaim_mu_);
-  return retired_.size();
-}
+std::size_t BandanaTable::retired_count() const { return epochs_.retired(); }
 
 std::vector<BlockId> BandanaTable::block_map() const {
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   const State* st = state_.load(std::memory_order_seq_cst);
   return st->block_map;
 }
 
 BandanaTable::RetrainedState BandanaTable::mapping_snapshot() const {
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   const State* st = state_.load(std::memory_order_seq_cst);
   return {st->layout, st->block_map, st->access_counts, st->policy};
 }
 
 ManifestTable BandanaTable::manifest_entry() const {
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   const State* st = state_.load(std::memory_order_seq_cst);
   ManifestTable mt;
   mt.first_block = first_block_;
@@ -487,7 +428,7 @@ bool BandanaTable::is_cached(VectorId v) const {
   // mutated again, so its answer is merely stale (the staged_only lookup
   // pipeline re-checks under the lock and defers on any disagreement).
   // The guard keeps a just-retired state alive across the deref.
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   const State* st = state_.load(std::memory_order_seq_cst);
   std::lock_guard lock(shards_[st->cache.shard_of(v)]->mu);
   return st->cache.contains(v);
@@ -501,7 +442,7 @@ BandanaTable::LookupOutcome BandanaTable::lookup(
   // The guard spans the whole retry loop: every state pointer loaded below
   // stays alive until we return, even if a concurrent swap retires it and
   // a reclaim pass runs before we reach the shard lock.
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   State* st = state_.load(std::memory_order_seq_cst);
   for (;;) {
     // Everything a lookup touches — the cache entry, the block, its other
@@ -602,7 +543,7 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
 }
 
 CacheShardStats BandanaTable::shard_stats(std::uint32_t s) const {
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   const State* st = state_.load(std::memory_order_seq_cst);
   std::lock_guard lock(shards_[s]->mu);
   return st->cache.shard_stats(s);
@@ -617,7 +558,7 @@ CacheShardStats BandanaTable::cache_stats() const {
 }
 
 std::vector<VectorId> BandanaTable::cache_contents() const {
-  ReadGuard guard(*this);
+  const EpochDomain::Guard guard(epochs_);
   const State* st = state_.load(std::memory_order_seq_cst);
   std::vector<VectorId> out;
   for (std::uint32_t s = 0; s < num_shards_; ++s) {

@@ -26,24 +26,12 @@
 // them). swap_state only requires exclusion against other swaps/publishes
 // (Store's shared storage lock + one trickle session per table).
 //
-// Retired states are reclaimed with a two-bank epoch scheme instead of
-// being kept for the table's lifetime: every state-dereferencing reader
-// enters a striped reader bank (selected by the current generation parity)
-// before loading the state pointer and exits it when done. A reclaim pass
-// (run by every swap_state, and on demand via reclaim_retired) observes
-// the per-slot entered/exited counters of the INACTIVE bank — the one new
-// readers no longer enter: a bank whose slots all read exited == entered
-// (exited loaded first — both counters are monotone, so equality proves
-// the slot was empty at the first load and stayed untouched until the
-// second) holds no reader that predates the pass. Only when the inactive
-// bank has drained does the pass flip the generation, so new readers land
-// on it and the busy bank is vacated for the next pass to observe. A
-// retired state is freed once BOTH banks have been observed drained while
-// inactive after its retirement, so a straggler that loaded the old
-// pointer just before the swap always keeps it alive until it exits.
-// Under a continuous read stream each pass finds the bank the previous
-// flip vacated drained, so a retiree is freed within about two passes and
-// the retired list stays bounded rather than growing with every push.
+// Retired states are reclaimed through the table's EpochDomain
+// (common/epoch.h): every state-dereferencing reader holds a domain guard
+// across its state-pointer load and use, and swap_state retires the old
+// state and runs a non-blocking reclaim pass — so a straggler that loaded
+// the old pointer just before the swap keeps it alive until it exits, and
+// the retired list stays bounded under a continuous read stream.
 #pragma once
 
 #include <atomic>
@@ -54,6 +42,7 @@
 #include <vector>
 
 #include "cache/sharded_lru.h"
+#include "common/epoch.h"
 #include "core/config.h"
 #include "core/manifest.h"
 #include "core/metrics.h"
@@ -168,7 +157,7 @@ class BandanaTable {
   /// after — the staged_only lookup pipeline re-checks under the shard
   /// lock and defers on any disagreement.
   BlockId global_block_of(VectorId v) const {
-    ReadGuard guard(*this);
+    const EpochDomain::Guard guard(epochs_);
     const State* st = state_.load(std::memory_order_seq_cst);
     return st->block_map[st->layout.block_of(v)];
   }
@@ -239,7 +228,7 @@ class BandanaTable {
   }
   /// By-value policy read, safe against concurrent swap + reclamation.
   TablePolicy policy_snapshot() const {
-    ReadGuard guard(*this);
+    const EpochDomain::Guard guard(epochs_);
     return state_.load(std::memory_order_seq_cst)->policy;
   }
   std::size_t vector_bytes() const { return vector_bytes_; }
@@ -258,12 +247,10 @@ class BandanaTable {
   /// shard locks). With one shard this is the exact LRU eviction order.
   std::vector<VectorId> cache_contents() const;
 
-  /// Run one reclaim pass: observe the inactive reader bank, flip the
-  /// generation once it has drained, and free every retired state whose
-  /// retirement is covered by a drain observation of each bank. Returns
-  /// states freed. swap_state runs a pass automatically; long-lived
-  /// serving loops (or tests) call this to drain stragglers from earlier
-  /// swaps.
+  /// Run one non-blocking reclaim pass (EpochDomain::try_reclaim) and
+  /// return the retired states it freed. swap_state runs a pass
+  /// automatically; long-lived serving loops (or tests) call this to drain
+  /// stragglers from earlier swaps.
   std::size_t reclaim_retired();
 
   /// Retired states still awaiting reclamation (diagnostic).
@@ -307,56 +294,6 @@ class BandanaTable {
     std::vector<std::byte> block_buf;  ///< scratch for block reads
   };
 
-  /// Reader-epoch machinery. A reader enters one striped slot of the bank
-  /// named by the generation's parity, loads the state pointer (both with
-  /// seq_cst, so a reclaim pass that reads the counters and misses the
-  /// enter is globally ordered before it — and the reader's state load
-  /// then sees the post-swap pointer, never the retired state), and exits
-  /// the same slot on destruction. Slots are thread-striped to keep the
-  /// hot-path RMW on a mostly-private cache line.
-  static constexpr std::uint32_t kReaderSlots = 16;
-  struct alignas(64) ReaderSlot {
-    std::atomic<std::uint64_t> entered{0};
-    std::atomic<std::uint64_t> exited{0};
-  };
-  static std::uint32_t reader_slot() {
-    static std::atomic<std::uint32_t> next{0};
-    thread_local const std::uint32_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kReaderSlots;
-    return slot;
-  }
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const BandanaTable& t)
-        : t_(&t),
-          bank_(static_cast<std::uint32_t>(
-              t.reader_gen_.load(std::memory_order_relaxed) & 1)),
-          slot_(reader_slot()) {
-      t_->reader_banks_[bank_][slot_].entered.fetch_add(
-          1, std::memory_order_seq_cst);
-    }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-    ~ReadGuard() {
-      t_->reader_banks_[bank_][slot_].exited.fetch_add(
-          1, std::memory_order_release);
-    }
-
-   private:
-    const BandanaTable* t_;
-    std::uint32_t bank_;
-    std::uint32_t slot_;
-  };
-  /// One retired state plus the retirement sequence it must outlive.
-  struct RetiredState {
-    std::unique_ptr<State> state;
-    std::uint64_t seq = 0;
-  };
-  /// exited-then-entered per-slot equality check (see class comment).
-  bool bank_drained(std::uint32_t bank) const;
-  /// The reclaim pass body; caller holds reclaim_mu_.
-  std::size_t reclaim_retired_locked();
-
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,
                                     std::vector<std::uint32_t> access_counts,
                                     std::vector<BlockId> block_map) const;
@@ -386,19 +323,9 @@ class BandanaTable {
   std::unique_ptr<State> state_owner_;
   std::atomic<State*> state_;
 
-  /// Reader epochs: two banks of striped enter/exit counters; the
-  /// generation's parity names the bank new readers enter. Mutable — read
-  /// paths on const tables still register.
-  mutable ReaderSlot reader_banks_[2][kReaderSlots];
-  std::atomic<std::uint64_t> reader_gen_{0};
-  /// Guards the retirement bookkeeping below (swap_state's push and
-  /// concurrent reclaim passes). Never taken by readers.
-  mutable std::mutex reclaim_mu_;
-  std::uint64_t retire_seq_ = 0;                ///< Tags handed to retires.
-  std::uint64_t bank_drained_seq_[2] = {0, 0};  ///< Latest covered retire.
-  /// States replaced by swap_state, kept alive until both reader banks
-  /// have been observed drained after their retirement.
-  std::vector<RetiredState> retired_;
+  /// Reader epochs over state_: retired states live here until no guard
+  /// can still hold them.
+  EpochDomain epochs_;
 
   AtomicTableMetrics metrics_;
 };

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -264,6 +265,65 @@ TEST(Rebalance, AbandonedSessionKeepsDonorServingAndIsRestartable) {
   again.run_to_completion();
   EXPECT_TRUE(again.done());
   EXPECT_EQ(cluster.placement_flips(), 1u);
+  expect_router_serves_model(cluster, m);
+}
+
+TEST(Rebalance, PlacementFlipBlocksUntilEveryOldMapLeaseReleases) {
+  const Model m = make_model(2048);
+  const FixedPlacement fixed({0, 1});
+  StoreCluster cluster(cluster_config(2, 1, 0), m.plan, m.values, nullptr,
+                       &fixed);
+  const TableId donor_local = cluster.placement().tables[0][0].local_ids[0];
+
+  RepublishConfig rate;
+  rate.blocks_per_interval = 32;  // 64-block table: exactly two waves
+  rate.interval_us = 100.0;
+  RebalanceSession s = cluster.begin_rebalance(0, 0, 0, 1, rate);
+  ASSERT_EQ(s.pump(), 32u);
+  ASSERT_FALSE(s.done());
+  cluster.advance_time_us(rate.interval_us);
+
+  // An in-flight request's lease, taken before the final pump.
+  StoreCluster::PlacementLease lease = cluster.placement_lease();
+  ASSERT_TRUE(lease);
+  std::atomic<bool> returned{false};
+  std::thread mover([&] {
+    s.pump();  // final wave, install finish, flip, donor retire
+    returned.store(true);
+  });
+  // The pump holds the session lock while it waits on the flip, so no
+  // session accessor may be called until it returns. Wait until the
+  // target's install committed and the new map is published: the pump is
+  // then inside the flip.
+  const auto published = [&] {
+    return cluster.node(1).store_metrics().table_installs == 1 &&
+           cluster.placement().tables[0][0].nodes ==
+               std::vector<std::uint32_t>{1};
+  };
+  for (int spin = 0; spin < 10000 && !published(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(published());
+  {
+    // A lease taken now routes on the new map.
+    const StoreCluster::PlacementLease fresh = cluster.placement_lease();
+    EXPECT_EQ(fresh.map().tables[0][0].nodes, std::vector<std::uint32_t>{1});
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The flip has not completed (not counted, donor copy not retired), and
+  // the held lease still sees the pre-move placement.
+  ASSERT_FALSE(returned.load());
+  EXPECT_EQ(cluster.placement_flips(), 0u);
+  EXPECT_FALSE(cluster.node(0).table_retired(donor_local));
+  EXPECT_EQ(lease.map().tables[0][0].nodes, std::vector<std::uint32_t>{0});
+  EXPECT_EQ(lease.map().tables[0][0].local_ids[0], donor_local);
+
+  lease = StoreCluster::PlacementLease();  // release
+  mover.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_TRUE(s.done());
+  EXPECT_EQ(cluster.placement_flips(), 1u);
+  EXPECT_TRUE(cluster.node(0).table_retired(donor_local));
   expect_router_serves_model(cluster, m);
 }
 
